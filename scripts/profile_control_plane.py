@@ -5,7 +5,8 @@ Runs the same scenario as the ``control_plane`` microbenchmark — 160
 nodes at degree 8, sampled-mode monitoring, 24 standing (publisher,
 subscriber) pairs over 5 publishers, one monitoring refresh — under
 :mod:`cProfile`, once for the per-pair from-scratch baseline and once for
-the incremental batched path, and prints the top entries by cumulative
+the batched refresh (shared solver, reuse of tables no changed edge
+reaches, one batch per publisher), and prints the top entries by cumulative
 time for each. Use this to see *where* a control-plane regression landed
 before reaching for the microbenchmark's single number.
 
@@ -63,14 +64,16 @@ def build_workload():
     return topology, monitor.snapshot(), monitor.last_changed, pairs, previous
 
 
-def profile(label: str, fn, top: int) -> None:
+def profile(label: str, fn, top: int):
+    """Run *fn* under cProfile, print its top entries, return its result."""
     print(f"=== {label} ===")
     profiler = cProfile.Profile()
     profiler.enable()
-    fn()
+    result = fn()
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(top)
+    return result
 
 
 def main() -> int:
@@ -91,20 +94,22 @@ def main() -> int:
 
     def incremental():
         solver = ControlPlaneSolver(topology, estimates, perf=perf)
-        tables = []
+        tables, batches = {}, {}
         for pub, sub, deadline in pairs:
-            warm = previous[(pub, sub)]
-            if not solver.table_affected(pub, deadline, changed):
-                tables.append(warm)
-                continue
-            tables.append(
-                solver.solve(pub, sub, deadline, warm=warm, changed_edges=changed)
-            )
-        return tables
+            if solver.table_affected(pub, deadline, changed):
+                batches.setdefault(pub, []).append((sub, deadline))
+            else:
+                tables[(pub, sub)] = previous[(pub, sub)]
+        for pub, batch in batches.items():
+            for (sub, _), table in zip(batch, solver.solve_batch(pub, batch)):
+                tables[(pub, sub)] = table
+        return [tables[(pub, sub)] for pub, sub, _ in pairs]
 
-    profile("per-pair from-scratch baseline", from_scratch, args.top)
-    profile("incremental batched refresh", incremental, args.top)
-    print("Incremental-pass perf counters:")
+    cold = profile("per-pair from-scratch baseline", from_scratch, args.top)
+    refreshed = profile("batched refresh with reuse", incremental, args.top)
+    # Reuse and batching must not change a single table.
+    assert refreshed == cold
+    print("Batched-refresh perf counters:")
     print(format_perf(perf.snapshot()))
     return 0
 

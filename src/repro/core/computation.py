@@ -7,53 +7,37 @@ same recursion with synchronous (Jacobi) rounds: round ``k`` recomputes all
 nodes from the round ``k-1`` values, which mirrors the hop-by-hop gossip of
 the distributed protocol and is deterministic. Cyclic dependencies (two
 brokers on each other's sending lists) are permitted, exactly as in the
-paper; ``r`` converges monotonically from below and ``d`` stabilises within
-a few diameters in practice, with a hard round bound as a backstop.
+paper. A node moves only if its ``d`` or ``r`` changes by more than
+``tol`` or its reachability flips; a table is solved when a round moves
+nothing, and rounds are capped at ``max(64, 2 * N)``. The result, a
+:class:`DrTable`, holds each broker's ``<d, r>`` and ordered sending list.
 
-The result, a :class:`DrTable`, is the per-(publisher, subscriber) control
-state: each node's ``<d, r>`` plus its ordered sending list.
+:class:`ControlPlaneSolver` builds the pair-independent artifacts once
+per refresh (Eq. 1 link table, padded ``[nodes x max degree]`` adjacency
+arrays, one budget Dijkstra per publisher), and
+:meth:`~ControlPlaneSolver.solve_batch` advances all subscribers of one
+publisher together as ``[subscribers x nodes x degree]`` numpy arrays. The
+arithmetic is the scalar recursion's, operation for operation, so tables
+are bit-for-bit those of a per-node Python loop (kept as the test oracle
+in ``tests/core/scalar_oracle.py``):
 
-Batching and incrementality
----------------------------
+* Theorem 1 is a stable argsort on ``d_via / r_via`` over slots already
+  sorted by neighbour id, so ties break on neighbour id. Ineligible slots
+  carry ``<0, 0>``; their ``0 / 0`` key is NaN, which sorts last, and they
+  add exactly nothing to Eq. 3;
+* Eq. 3 is folded slot by slot in list order, with the scalar loop's
+  sequence of IEEE operations;
+* every non-subscriber node is recomputed every round. A node none of
+  whose neighbours moved sees the inputs of its last evaluation and does
+  not move, so the updates equal those of a dirty-set iteration.
 
-Algorithm 1 re-runs after every monitoring cycle, and most of the work of
-one (publisher, subscriber) solve is *pair-independent*: the Eq. 1
-``(alpha_m, gamma_m)`` link table and the pre-resolved adjacency lists
-depend only on the estimates, and the budget Dijkstra depends only on the
-publisher. :class:`ControlPlaneSolver` computes each of those artifacts
-exactly once per refresh and shares them across every pair solved against
-the same estimates — the cold path runs the *identical* arithmetic in the
-identical order as a standalone :func:`compute_dr_table` call, so batched
-results are bit-identical to per-pair results by construction.
-
-Two further accelerations are layered on top:
-
-* **dirty-edge relevance** (:meth:`ControlPlaneSolver.table_affected`) —
-  a changed edge can only influence a table if at least one endpoint has a
-  positive delay budget (``dist(P, endpoint) < deadline``); a broker whose
-  budget is non-positive provably holds ``<inf, 0>`` forever and its links
-  are never read. Tables no changed edge can reach are reused verbatim
-  (bit-identical, the solve is skipped entirely);
-* **warm-started replay** — every solve records its per-round update
-  trajectory in the resulting table. A re-solve against new estimates
-  replays that trajectory: in each round, a node is actually recomputed
-  only if it touches a changed edge or a node whose value has diverged
-  from the recorded run; every other node's round outcome is *copied*
-  from the recording, because its inputs (neighbour values and link
-  parameters) are bitwise identical to what a from-scratch solve on the
-  new estimates would see. The replayed trajectory is therefore — by
-  induction over rounds — bit-for-bit the trajectory of a cold solve on
-  the new estimates, at the cost of recomputing only the changed edges'
-  influence cone. ``tests/core/test_batch_solver.py`` pins this exact
-  equivalence.
-
-A naive warm start (seeding Jacobi from the previous ``<d, r>`` values)
-was rejected: the tolerance-gated iteration parks values within ``tol``
-of budget-eligibility boundaries whenever cyclic feedback oscillates, so
-a warm fixed point that differs from the cold one by less than ``tol``
-can still flip a strict ``d_i < budget`` comparison and change a sending
-list. Replay sidesteps the problem by reproducing the cold trajectory
-itself rather than approximating its fixed point.
+Many tables never converge: a broker flips between a finite ``<d, r>`` and
+``<inf, 0>`` as a neighbour crosses its budget boundary, an exact limit
+cycle. A round is a pure function of the previous ``(d, r)`` state, so a
+table whose state repeats — first at round ``seen``, again ``p`` rounds
+later — stops there and takes its stored state of round
+``seen + (max_rounds - seen) mod p``: the state the iteration holds at
+the cap. It reports ``rounds = max_rounds`` and ``converged = False``.
 """
 
 from __future__ import annotations
@@ -63,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import (
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -71,9 +56,9 @@ from typing import (
 )
 
 import networkx as nx
+import numpy as np
 
 from repro.core.linkmath import link_params_m
-from repro.core.sending_list import order_sending_list
 from repro.overlay.monitor import LinkEstimate
 from repro.overlay.topology import Edge, Topology, canonical_edge
 from repro.perf import PerfStats
@@ -126,24 +111,80 @@ def aggregate_dr(vias: Sequence[ViaNeighbor]) -> Tuple[float, float]:
     return weighted / r, r
 
 
+class SolvedStates(Mapping[int, NodeState]):
+    """The per-node :class:`NodeState` map of one solved table, built lazily.
+
+    A solve leaves each node's ``<d, r>`` and its sorted candidate arrays;
+    a :class:`NodeState` (with its :class:`ViaNeighbor` tuple) is only
+    materialised when a node is looked up, since the data plane reads the
+    lists of a small share of brokers and building all of them eagerly
+    costs more than the solve.
+    """
+
+    __slots__ = ("_d", "_r", "_neighbors", "_d_via", "_r_via", "_counts", "_built")
+
+    def __init__(
+        self,
+        d: List[float],
+        r: List[float],
+        neighbors: np.ndarray,
+        d_via: np.ndarray,
+        r_via: np.ndarray,
+        counts: List[int],
+    ) -> None:
+        self._d = d
+        self._r = r
+        # Row ``node`` holds the node's candidates in Theorem 1 order; the
+        # first ``counts[node]`` entries form its sending list.
+        self._neighbors = neighbors
+        self._d_via = d_via
+        self._r_via = r_via
+        self._counts = counts
+        self._built: Dict[int, NodeState] = {}
+
+    def __getitem__(self, node: int) -> NodeState:
+        state = self._built.get(node)
+        if state is None:
+            if not isinstance(node, (int, np.integer)) or not 0 <= node < len(self._d):
+                raise KeyError(node)
+            count = self._counts[node]
+            vias = tuple(
+                map(
+                    ViaNeighbor,
+                    self._neighbors[node, :count].tolist(),
+                    self._d_via[node, :count].tolist(),
+                    self._r_via[node, :count].tolist(),
+                )
+            )
+            state = NodeState(d=self._d[node], r=self._r[node], sending_list=vias)
+            self._built[node] = state
+        return state
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._d)))
+
+    def __len__(self) -> int:
+        return len(self._d)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass
 class DrTable:
-    """Control state of all brokers for one (publisher, subscriber) pair."""
+    """Control state of all brokers for one (publisher, subscriber) pair.
+
+    ``states`` is a :class:`SolvedStates` for solver output; any other
+    mapping (a plain dict, say) works too.
+    """
 
     publisher: int
     subscriber: int
     deadline: float
-    states: Dict[int, NodeState]
+    states: Mapping[int, NodeState]
     budgets: Dict[int, float]
     rounds: int
     converged: bool
-    #: Per-round ``(node, d, r)`` update lists of the solve that produced
-    #: this table; consumed by :meth:`ControlPlaneSolver.solve` to replay
-    #: the iteration incrementally after the next refresh. Diagnostic
-    #: payload — excluded from equality and repr.
-    trajectory: Optional[Tuple[Tuple[Tuple[int, float, float], ...], ...]] = field(
-        default=None, compare=False, repr=False
-    )
     #: Lazy per-node cache of :meth:`sending_list` results. The forwarding
     #: data plane asks for the same node's list once per dispatched
     #: destination; ``NodeState.neighbor_order`` rebuilds its tuple on every
@@ -254,10 +295,10 @@ class ControlPlaneSolver:
 
     Constructing the solver resolves everything that is independent of the
     (publisher, subscriber) pair — the Eq. 1 ``(alpha_m, gamma_m)`` table,
-    the usable-adjacency lists, and the alpha-weighted graph for budget
-    Dijkstras — exactly once. Per-publisher shortest-delay maps are then
-    computed lazily and cached, so solving all subscribers of one publisher
-    costs a single ``single_source_dijkstra_path_length`` call.
+    the padded usable-adjacency arrays, and the alpha-weighted graph for
+    budget Dijkstras — exactly once. Per-publisher shortest-delay maps are
+    then computed lazily and cached, so solving all subscribers of one
+    publisher costs a single ``single_source_dijkstra_path_length`` call.
 
     One solver instance is valid for one immutable estimates snapshot;
     build a fresh instance after every monitoring refresh.
@@ -288,19 +329,30 @@ class ControlPlaneSolver:
         for edge in topology.edges():
             estimate = estimates[edge]
             link_m[edge] = link_params_m(estimate.alpha, estimate.gamma, m)
-        self.link_m = link_m
 
-        # Pre-resolve each node's usable links once: (neighbor, alpha_m,
-        # gamma_m) with dead links (gamma 0 / alpha inf) dropped up front.
-        links_of: List[List[Tuple[int, float, float]]] = [[] for _ in range(num_nodes)]
-        for node in topology.nodes:
-            entries = links_of[node]
-            for neighbor in topology.neighbors(node):
-                alpha_m, gamma_m = link_m[canonical_edge(node, neighbor)]
-                if math.isfinite(alpha_m) and gamma_m > 0.0:
-                    entries.append((neighbor, alpha_m, gamma_m))
-        self.links_of = links_of
-        self.neighbors_of = [topology.neighbors(node) for node in topology.nodes]
+        # Each node's usable links (dead ones — gamma 0 / alpha inf —
+        # dropped) in ascending neighbour order, padded to the widest row
+        # with never-eligible ``gamma = 0`` slots.
+        links_of = [
+            [
+                (neighbor, *link_m[canonical_edge(node, neighbor)])
+                for neighbor in topology.neighbors(node)
+            ]
+            for node in topology.nodes
+        ]
+        links_of = [
+            [link for link in links if math.isfinite(link[1]) and link[2] > 0.0]
+            for links in links_of
+        ]
+        width = max([1] + [len(links) for links in links_of])
+        padded = np.array(
+            [links + [(0, 0.0, 0.0)] * (width - len(links)) for links in links_of]
+        ).reshape(num_nodes, width, 3)
+        self._neighbor = padded[:, :, 0].astype(np.intp)
+        self._alpha = padded[:, :, 1]
+        self._gamma = padded[:, :, 2]
+        self._usable = self._gamma > 0.0
+        self._degree = np.array([topology.degree(node) for node in topology.nodes])
 
         self._weight_graph = _estimate_weight_graph(topology, estimates)
         # With a process-level DIST_CACHE installed, solvers built against
@@ -347,228 +399,200 @@ class ControlPlaneSolver:
         return False
 
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        publisher: int,
-        subscriber: int,
-        deadline: float,
-        warm: Optional[DrTable] = None,
-        changed_edges: Optional[Iterable[Edge]] = None,
-    ) -> DrTable:
-        """Solve one (publisher, subscriber) pair against this refresh.
+    def _candidates(
+        self, d: np.ndarray, r: np.ndarray, budget: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Eq. 2 and Theorem 1 for every node of every row.
 
-        Without *warm* this is bit-identical to :func:`compute_dr_table`.
-        With *warm* (the pair's previous table, carrying its recorded
-        trajectory) and *changed_edges*, the iteration replays the
-        recorded rounds, recomputing only nodes inside the influence cone
-        of the changed edges and copying every other round outcome from
-        the recording — producing the exact cold-solve result. A warm
-        table whose budgets or identity don't match (different deadline,
-        alpha movement, no trajectory) is ignored and the solve falls
-        back to cold.
+        *d*, *r* and *budget* are ``[rows, nodes]``. Returns, slot-major
+        (``[degree, rows, nodes]``) and in Theorem 1 order with eligible
+        slots first: the flat ``[rows, nodes, degree]`` index of each
+        slot, its ``d_via`` and its ``r_via`` (``<0, 0>`` where
+        ineligible); plus the ``[rows, nodes, degree]`` eligibility mask.
         """
-        require_positive(deadline, "deadline")
-        topology = self.topology
-        num = topology.num_nodes
+        d_i = d[:, self._neighbor]
+        r_i = r[:, self._neighbor]
+        # Algorithm 1 line 4: a neighbour must expect delivery within the
+        # remaining budget; hopeless neighbours cannot help either.
+        eligible = (d_i < budget[:, :, None]) & (r_i > 0.0) & self._usable
+        d_via = np.where(eligible, self._alpha + d_i, 0.0)
+        r_via = np.where(eligible, self._gamma * r_i, 0.0)
+        # Ineligible slots divide 0 by 0: their NaN key sorts last.
+        order = np.argsort(d_via / r_via, axis=-1, kind="stable")
+        width = order.shape[-1]
+        flat = order.transpose(2, 0, 1) + np.arange(
+            0, order.size, width
+        ).reshape(order.shape[:2])
+        return (
+            flat,
+            d_via.reshape(-1)[flat],
+            r_via.reshape(-1)[flat],
+            eligible,
+        )
+
+    def _round(
+        self, d: np.ndarray, r: np.ndarray, budget: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One Jacobi round: Eq. 3 folded over the sorted candidates."""
+        _, d_via, r_via, _ = self._candidates(d, r, budget)
+        cumulative = d_via[0]
+        weighted = cumulative * r_via[0]
+        survive = 1.0 - r_via[0]
+        for slot in range(1, len(d_via)):
+            r_slot = r_via[slot]
+            cumulative = cumulative + d_via[slot]
+            weighted = weighted + cumulative * r_slot * survive
+            survive = survive * (1.0 - r_slot)
+        r_x = 1.0 - survive
+        reachable = r_x > 0.0
+        return (
+            np.where(reachable, weighted / r_x, math.inf),
+            np.where(reachable, r_x, 0.0),
+        )
+
+    def solve(self, publisher: int, subscriber: int, deadline: float) -> DrTable:
+        """Solve one (publisher, subscriber) pair against this refresh."""
+        return self.solve_batch(publisher, [(subscriber, deadline)])[0]
+
+    def solve_batch(
+        self, publisher: int, pairs: Sequence[Tuple[int, float]]
+    ) -> List[DrTable]:
+        """Solve all ``(subscriber, deadline)`` *pairs* of one publisher.
+
+        The tables advance through their Jacobi rounds together; each
+        leaves the batch when it converges, hits ``max_rounds`` or repeats
+        a state (see the module docstring). The result is aligned with
+        *pairs*.
+        """
+        for _, deadline in pairs:
+            require_positive(deadline, "deadline")
+        rows = len(pairs)
+        if not rows:
+            return []
+        num = self.topology.num_nodes
+        max_rounds = self.max_rounds
+        tol = self.tol
+        inf = math.inf
 
         # Remaining budget at each broker: D_XS = D_PS - shortest_delay(P, X),
         # with shortest delays taken over the monitor's alpha estimates.
-        dist_from_publisher = self.distances_from(publisher)
-        budgets = {
-            node: deadline - dist_from_publisher.get(node, float("inf"))
-            for node in topology.nodes
-        }
-        budget_of: List[float] = [budgets[node] for node in topology.nodes]
+        dist = np.full(num, inf)
+        for node, delay in self.distances_from(publisher).items():
+            dist[node] = delay
+        subscribers = np.array([sub for sub, _ in pairs], dtype=np.intp)
+        deadlines = np.array([deadline for _, deadline in pairs], dtype=float)
+        budget = deadlines[:, None] - dist[None, :]
 
-        inf = float("inf")
-        warm_ok = (
-            warm is not None
-            and warm.trajectory is not None
-            and warm.subscriber == subscriber
-            and warm.publisher == publisher
-            and warm.deadline == deadline
-            and changed_edges is not None
-            and warm.budgets == budgets
-        )
-        d = [inf] * num
-        r = [0.0] * num
-        d[subscriber], r[subscriber] = 0.0, 1.0
-        dirty = set(topology.nodes) - {subscriber}
-        if warm_ok:
-            # Replay state: the recorded run's values in lockstep with the
-            # live ones, the set of nodes whose live value has diverged
-            # from the recording, and the changed edges' endpoints (whose
-            # link parameters differ from the recorded run's).
-            old_trajectory = warm.trajectory  # type: ignore[union-attr]
-            old_d = [inf] * num
-            old_r = [0.0] * num
-            old_d[subscriber], old_r[subscriber] = 0.0, 1.0
-            endpoints: set = set()
-            for u, v in changed_edges:  # type: ignore[union-attr]
-                endpoints.add(u)
-                endpoints.add(v)
-            diff: set = set()
-            if self.perf is not None:
-                self.perf.incr("control_plane.tables_warm_started")
-        else:
-            old_trajectory = None
-            if self.perf is not None:
-                self.perf.incr("control_plane.tables_solved_cold")
+        every = np.arange(rows)
+        d = np.full((rows, num), inf)
+        r = np.zeros((rows, num))
+        d[every, subscribers] = 0.0
+        r[every, subscribers] = 1.0
+        rounds = np.zeros(rows, dtype=np.int64)
+        # With the subscriber as the only node there is nothing to iterate.
+        converged = np.full(rows, num == 1)
+        # A moved node schedules its neighbours, the subscriber excepted,
+        # for the next round; a round that schedules nobody ends the solve.
+        others = np.tile(self._degree, (rows, 1))
+        for row, subscriber in enumerate(subscribers.tolist()):
+            others[row, list(self.topology.neighbors(subscriber))] -= 1
+        schedules = others > 0
 
-        links_of = self.links_of
-        tol = self.tol
-
-        def recompute(node: int) -> Tuple[float, float]:
-            """One Eq. 2 + Theorem 1 + Eq. 3 evaluation from current d/r."""
-            budget = budget_of[node]
-            candidates: List[Tuple[float, int, float, float]] = []
-            for neighbor, alpha_m, gamma_m in links_of[node]:
-                d_i = d[neighbor]
-                # Algorithm 1 line 4: neighbour must expect delivery within
-                # the remaining budget; hopeless neighbours cannot help
-                # either.
-                r_i = r[neighbor]
-                if not (d_i < budget) or r_i <= 0.0:
-                    continue
-                d_via = alpha_m + d_i
-                r_via = gamma_m * r_i
-                candidates.append((d_via / r_via, neighbor, d_via, r_via))
-            if not candidates:
-                return inf, 0.0
-            candidates.sort()
-            survive = 1.0
-            weighted = 0.0
-            cumulative = 0.0
-            for _, _, d_via, r_via in candidates:
-                cumulative += d_via
-                weighted += cumulative * r_via * survive
-                survive *= 1.0 - r_via
-            r_x = 1.0 - survive
-            if r_x <= 0.0:
-                return inf, 0.0
-            return weighted / r_x, r_x
-
+        # The rows still iterating, and each one's visited states: a state
+        # key (the raw d and r bytes) maps to the round it was reached in,
+        # in insertion order, so the n-th key is the state of round n.
+        active = every if num > 1 and max_rounds > 0 else every[:0]
+        cur_d, cur_r = d[active], r[active]
+        seen: List[Dict[bytes, int]] = [
+            {cur_d[i].tobytes() + cur_r[i].tobytes(): 0} for i in range(len(active))
+        ]
         recomputes = 0
-
-        def gate(node: int) -> Optional[Tuple[int, float, float]]:
-            """Recompute *node*; return its update if it moved beyond tol."""
-            nonlocal recomputes
-            recomputes += 1
-            new_d, new_r = recompute(node)
-            cur_d, cur_r = d[node], r[node]
-            if abs(new_r - cur_r) > tol:
-                return node, new_d, new_r
-            if math.isinf(new_d) != math.isinf(cur_d):
-                return node, new_d, new_r
-            if math.isfinite(new_d) and abs(new_d - cur_d) > tol:
-                return node, new_d, new_r
-            return None
-
-        rounds = 0
-        converged = False
-        trajectory: List[Tuple[Tuple[int, float, float], ...]] = []
-        # Jacobi with dirty-set propagation: a node is recomputed only when
-        # one of its neighbours changed in the previous round. A replay
-        # further narrows the recomputed set to the changed edges'
-        # influence cone; everything outside the cone is copied from the
-        # recorded trajectory (bit-identical inputs give bit-identical
-        # outcomes, so the copies ARE the cold-solve results).
-        neighbors_of = self.neighbors_of
-        while rounds < self.max_rounds and dirty:
-            rounds += 1
-            updates: List[Tuple[int, float, float]] = []
-            if old_trajectory is None:
-                for node in dirty:
-                    update = gate(node)
-                    if update is not None:
-                        updates.append(update)
-            else:
-                old_updates = (
-                    old_trajectory[rounds - 1]
-                    if rounds <= len(old_trajectory)
-                    else ()
+        jumps = 0
+        step = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while len(active):
+                step += 1
+                recomputes += len(active) * (num - 1)
+                new_d, new_r = self._round(cur_d, cur_r, budget[active])
+                moved = (
+                    (np.abs(new_r - cur_r) > tol)
+                    | (np.isinf(new_d) != np.isinf(cur_d))
+                    | (np.isfinite(new_d) & (np.abs(new_d - cur_d) > tol))
                 )
-                # The cone this round: nodes whose own value or one of
-                # whose inputs (a neighbour's value, an incident link's
-                # parameters) differs from the recorded run.
-                cone = set(endpoints)
-                for node in diff:
-                    cone.add(node)
-                    cone.update(neighbors_of[node])
-                for entry in old_updates:
-                    node = entry[0]
-                    if node in dirty and node not in cone:
-                        updates.append(entry)
-                for node in dirty & cone:
-                    update = gate(node)
-                    if update is not None:
-                        updates.append(update)
-            dirty = set()
-            for node, new_d, new_r in updates:
-                d[node], r[node] = new_d, new_r
-                dirty.update(neighbors_of[node])
-            dirty.discard(subscriber)
-            if old_trajectory is not None:
-                for node, up_d, up_r in old_updates:
-                    old_d[node], old_r[node] = up_d, up_r
-                for node, _, _ in updates:
-                    if d[node] == old_d[node] and r[node] == old_r[node]:
-                        diff.discard(node)
-                    else:
-                        diff.add(node)
-                for node, _, _ in old_updates:
-                    if d[node] == old_d[node] and r[node] == old_r[node]:
-                        diff.discard(node)
-                    else:
-                        diff.add(node)
-            trajectory.append(tuple(updates))
-            if not updates:
-                converged = True
-                break
-        if not converged and not dirty:
-            converged = True
-        if self.perf is not None:
-            self.perf.incr("control_plane.jacobi_rounds", rounds)
-            self.perf.incr("control_plane.node_recomputes", recomputes)
+                moved[np.arange(len(active)), subscribers[active]] = False
+                cur_d = np.where(moved, new_d, cur_d)
+                cur_r = np.where(moved, new_r, cur_r)
+                # Nothing scheduled for the next round: the table is solved.
+                done = ~(moved & schedules[active]).any(axis=1)
+                converged[active[done]] = True
+                if step == max_rounds:
+                    done[:] = True
+                else:
+                    for i in np.flatnonzero(~done):
+                        key = cur_d[i].tobytes() + cur_r[i].tobytes()
+                        first = seen[i].setdefault(key, step)
+                        if first == step:
+                            continue
+                        # A repeated state: the iteration cycles with
+                        # period step - first up to the round cap, so take
+                        # the state it holds at the cap.
+                        target = first + (max_rounds - first) % (step - first)
+                        state = np.frombuffer(list(seen[i])[target])
+                        cur_d[i], cur_r[i] = state[:num], state[num:]
+                        done[i] = True
+                        jumps += 1
+                finished = active[done]
+                d[finished] = cur_d[done]
+                r[finished] = cur_r[done]
+                rounds[finished] = np.where(converged[finished], step, max_rounds)
+                if done.any():
+                    keep = np.flatnonzero(~done)
+                    active = active[keep]
+                    cur_d, cur_r = cur_d[keep], cur_r[keep]
+                    seen = [seen[i] for i in keep]
 
-        def final_vias(node: int) -> Tuple[ViaNeighbor, ...]:
-            budget = budget_of[node]
-            entries = []
-            for neighbor, alpha_m, gamma_m in links_of[node]:
-                d_i, r_i = d[neighbor], r[neighbor]
-                if not (d_i < budget) or r_i <= 0.0:
-                    continue
-                entries.append((neighbor, alpha_m + d_i, gamma_m * r_i))
-            ordered = order_sending_list(entries)
-            return tuple(ViaNeighbor(*item) for item in ordered)
-
-        # A replay only needs to re-derive the sending lists inside the
-        # final cone: a node whose value matches the recording, with no
-        # diverged neighbour and no changed incident link, reproduces its
-        # previous NodeState bit-for-bit, so the old state is copied.
-        rebuild: Optional[set] = None
-        if warm_ok:
-            rebuild = set(endpoints)
-            for node in diff:
-                rebuild.add(node)
-                rebuild.update(neighbors_of[node])
-        states = {}
-        for node in topology.nodes:
-            if rebuild is not None and node not in rebuild:
-                states[node] = warm.states[node]  # type: ignore[union-attr]
-                continue
-            vias = () if node == subscriber else final_vias(node)
-            states[node] = NodeState(d=d[node], r=r[node], sending_list=vias)
-        return DrTable(
-            publisher=publisher,
-            subscriber=subscriber,
-            deadline=deadline,
-            states=states,
-            budgets=budgets,
-            rounds=rounds,
-            converged=converged,
-            trajectory=tuple(trajectory),
+            # The sending lists: Theorem 1 order over the final values.
+            flat, d_via, r_via, eligible = self._candidates(d, r, budget)
+        counts = eligible.sum(axis=-1)
+        neighbors = self._neighbor.reshape(-1)[flat % self._neighbor.size]
+        # Node-major again, so a node's list is one contiguous row.
+        neighbors, d_via, r_via = (
+            np.ascontiguousarray(values.transpose(1, 2, 0))
+            for values in (neighbors, d_via, r_via)
         )
+        counts[every, subscribers] = 0
+
+        if self.perf is not None:
+            for name, amount in (
+                ("tables_solved_cold", rows),
+                ("jacobi_rounds", int(rounds.sum())),
+                ("node_recomputes", recomputes),
+                ("tables_unconverged", int((~converged).sum())),
+                ("tables_round_cap", int((rounds >= max_rounds).sum())),
+                ("cycles_jumped", jumps),
+            ):
+                self.perf.incr(f"control_plane.{name}", amount)
+
+        nodes = self.topology.nodes
+        return [
+            DrTable(
+                publisher=publisher,
+                subscriber=subscriber,
+                deadline=deadline,
+                states=SolvedStates(
+                    d[row].tolist(),
+                    r[row].tolist(),
+                    neighbors[row],
+                    d_via[row],
+                    r_via[row],
+                    counts[row].tolist(),
+                ),
+                budgets=dict(zip(nodes, budget[row].tolist())),
+                rounds=int(rounds[row]),
+                converged=bool(converged[row]),
+            )
+            for row, (subscriber, deadline) in enumerate(pairs)
+        ]
 
 
 def compute_dr_table(
@@ -604,7 +628,7 @@ def compute_dr_table(
 
     This is the one-shot convenience wrapper; to solve many pairs against
     the same estimates, build one :class:`ControlPlaneSolver` (or call
-    :func:`compute_dr_tables`) so the link table, adjacency lists, and
+    :func:`compute_dr_tables`) so the link table, adjacency arrays, and
     per-publisher Dijkstra are shared instead of rebuilt per pair.
     """
     solver = ControlPlaneSolver(
@@ -621,39 +645,15 @@ def compute_dr_tables(
     m: int = 1,
     max_rounds: Optional[int] = None,
     tol: float = 1e-9,
-    warm_tables: Optional[Sequence[Optional[DrTable]]] = None,
-    changed_edges: Optional[Iterable[Edge]] = None,
     perf: Optional[PerfStats] = None,
 ) -> List[DrTable]:
-    """Solve all subscribers of one publisher in a single batched pass.
+    """Solve all subscribers of one publisher as one batch.
 
-    Parameters
-    ----------
-    pairs:
-        ``(subscriber, deadline)`` tuples; the result list is aligned with
-        this sequence.
-    warm_tables:
-        Optional per-pair previous tables (aligned with *pairs*) used to
-        warm-start the Jacobi iteration; entries may be ``None``.
-    changed_edges:
-        The edges whose estimates changed since the warm tables were
-        solved (required for warm-starting to engage).
-
-    The estimate weight graph, the Eq. 1 link table, the adjacency lists,
-    and the publisher's Dijkstra are computed once and shared across all
-    pairs; without warm tables the results are bit-identical to calling
-    :func:`compute_dr_table` once per pair.
+    *pairs* are ``(subscriber, deadline)`` tuples; the result list is
+    aligned with them. Each table is bit-identical to a
+    :func:`compute_dr_table` call for its pair.
     """
     solver = ControlPlaneSolver(
         topology, estimates, m=m, max_rounds=max_rounds, tol=tol, perf=perf
     )
-    changed = tuple(changed_edges) if changed_edges is not None else None
-    tables: List[DrTable] = []
-    for index, (subscriber, deadline) in enumerate(pairs):
-        warm = warm_tables[index] if warm_tables is not None else None
-        tables.append(
-            solver.solve(
-                publisher, subscriber, deadline, warm=warm, changed_edges=changed
-            )
-        )
-    return tables
+    return solver.solve_batch(publisher, pairs)

@@ -42,10 +42,10 @@ faults.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import probes as _probes
-from repro.core.computation import ControlPlaneSolver, DrTable, compute_dr_table
+from repro.core.computation import ControlPlaneSolver, DrTable
 from repro.perf import PerfStats
 from repro.pubsub.messages import AckFrame, PacketFrame
 from repro.pubsub.topics import TopicSpec
@@ -234,14 +234,10 @@ class DcrdStrategy(RoutingStrategy):
     #: with unbounded flow diversity; steady-state runs stay far below it).
     DISPATCH_CACHE_CAP = 65536
 
-    #: Reuse unaffected tables and warm-start re-solves between refreshes.
-    #: Flip to False (per instance) to force the from-scratch reference
-    #: behaviour: every refresh with changed estimates re-solves every pair
-    #: cold, exactly like the original per-pair Algorithm 1.
+    #: Reuse tables no changed edge can reach between refreshes. Flip to
+    #: False (per instance) to force the from-scratch reference behaviour:
+    #: every refresh with changed estimates re-solves every pair.
     incremental = True
-    #: Seed re-solved tables from their previous converged ``<d, r>``
-    #: vectors (only meaningful while ``incremental`` is on).
-    warm_start = True
 
     def __init__(self, ctx: RuntimeContext) -> None:
         super().__init__(ctx)
@@ -251,15 +247,14 @@ class DcrdStrategy(RoutingStrategy):
         # overlay's packed direction ids), so the per-subscriber dispatch
         # lookup hashes one int instead of building a tuple.
         self._tables: Dict[int, DrTable] = {}
-        # Raw solver outputs, kept separately from ``_tables`` so subclasses
-        # that post-process published tables (e.g. the naive-order ablation)
-        # never pollute the warm-start sources.
-        self._warm_tables: Dict[int, DrTable] = {}
         # Flow cache for initial dispatch plans (see _DeliveryTask); any
         # table change clears it, so cached plans never outlive the control
         # state they were computed from.
         self._dispatch_cache: Dict[tuple, tuple] = {}
         self._monitor_version: int = -1
+        # The solver of the last rebuild, valid while the monitor version
+        # is unchanged; subscription churn solves new pairs on it.
+        self._solver: Optional[ControlPlaneSolver] = None
         self.perf = PerfStats()
         self.tasks_started = 0
         self.abandoned = 0
@@ -293,7 +288,7 @@ class DcrdStrategy(RoutingStrategy):
         # Change tracking is only valid across a single version step with
         # incrementality on; anything else (first build, missed refreshes,
         # moved latency estimates) falls back to treating every edge as
-        # changed, which disables reuse and warm-starting below.
+        # changed, which disables reuse below.
         track_changes = (
             self.incremental
             and self._monitor_version == version - 1
@@ -305,21 +300,19 @@ class DcrdStrategy(RoutingStrategy):
         self._dispatch_cache.clear()
         self.perf.incr("control_plane.refreshes")
         with self.perf.timer("control_plane.solve_time_s"):
-            solver = ControlPlaneSolver(
-                self.ctx.topology,
-                monitor.estimates(),
-                m=self.ctx.params.m,
-                perf=self.perf,
-            )
+            solver = self._solver = self._new_solver()
+            # Group the pairs to re-solve by publisher, one batch each, and
+            # remember each pair's slot so tables publish in workload order.
+            batches: Dict[int, List[Tuple[int, float]]] = {}
+            slots: List[Tuple[int, int, int]] = []
             for spec in self.ctx.workload.topics:
                 topic_key = spec.topic << 21
                 for sub in spec.subscriptions:
                     key = topic_key | sub.node
-                    previous = self._warm_tables.get(key)
+                    previous = self._tables.get(key)
                     if (
                         changed is not None
                         and previous is not None
-                        and key in self._tables
                         and previous.deadline == sub.deadline
                         and not solver.table_affected(
                             spec.publisher, sub.deadline, changed
@@ -330,24 +323,35 @@ class DcrdStrategy(RoutingStrategy):
                         # reproduce it bit for bit, so keep it.
                         self.perf.incr("control_plane.tables_reused")
                         continue
-                    warm = previous if (self.warm_start and changed is not None) else None
-                    table = solver.solve(
-                        spec.publisher,
-                        sub.node,
-                        sub.deadline,
-                        warm=warm,
-                        changed_edges=changed,
-                    )
-                    probe = _probes.on_table_solved
-                    if probe is not None:
-                        # Raw solver output, before any subclass reorders
-                        # its published copy (the naive-order ablation
-                        # violates Theorem 1 on purpose). Filter family:
-                        # handlers may substitute the table (the sanitizer's
-                        # missort mutation does).
-                        table = probe(table)
-                    self._tables[key] = table
-                    self._warm_tables[key] = table
+                    batch = batches.setdefault(spec.publisher, [])
+                    slots.append((key, spec.publisher, len(batch)))
+                    batch.append((sub.node, sub.deadline))
+            solved = {
+                publisher: solver.solve_batch(publisher, pairs)
+                for publisher, pairs in batches.items()
+            }
+            for key, publisher, index in slots:
+                self._publish(key, solved[publisher][index])
+
+    def _new_solver(self) -> ControlPlaneSolver:
+        """A solver over the monitor's current estimates."""
+        return ControlPlaneSolver(
+            self.ctx.topology,
+            self.ctx.monitor.estimates(),
+            m=self.ctx.params.m,
+            perf=self.perf,
+        )
+
+    def _publish(self, key: int, table: DrTable) -> None:
+        """Store a solved table under its packed pair key."""
+        probe = _probes.on_table_solved
+        if probe is not None:
+            # Raw solver output, before any subclass reorders its published
+            # copy (the naive-order ablation violates Theorem 1 on purpose).
+            # Filter family: handlers may substitute the table (the
+            # sanitizer's missort mutation does).
+            table = probe(table)
+        self._tables[key] = table
 
     def table(self, topic: int, subscriber: int) -> DrTable:
         """The control state of one (topic, subscriber) pair."""
@@ -372,29 +376,24 @@ class DcrdStrategy(RoutingStrategy):
     # Subscription churn (incremental Algorithm 1)
     # ------------------------------------------------------------------
     def on_subscription_added(self, topic: int, subscription) -> None:
-        """Solve the recursion for just the new (topic, subscriber) pair."""
+        """Solve the recursion for just the new (topic, subscriber) pair.
+
+        The last rebuild's solver still holds the current estimates while
+        the monitor version is unchanged, so its link table, adjacency
+        arrays and Dijkstra maps are reused.
+        """
+        solver = self._solver
+        if solver is None or self._monitor_version != self.ctx.monitor.version:
+            solver = self._new_solver()
         spec = self.ctx.workload.topic(topic)
-        table = compute_dr_table(
-            self.ctx.topology,
-            self.ctx.monitor.estimates(),
-            publisher=spec.publisher,
-            subscriber=subscription.node,
-            deadline=subscription.deadline,
-            m=self.ctx.params.m,
-        )
-        probe = _probes.on_table_solved
-        if probe is not None:
-            table = probe(table)
-        key = (topic << 21) | subscription.node
-        self._tables[key] = table
-        self._warm_tables[key] = table
+        table = solver.solve(spec.publisher, subscription.node, subscription.deadline)
+        self._publish((topic << 21) | subscription.node, table)
         self._dispatch_cache.clear()
 
     def on_subscription_removed(self, topic: int, node: int) -> None:
         """Drop the pair's control state; in-flight copies self-abandon."""
         key = (topic << 21) | node
         self._tables.pop(key, None)
-        self._warm_tables.pop(key, None)
         self._dispatch_cache.clear()
 
     # ------------------------------------------------------------------

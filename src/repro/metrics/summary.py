@@ -36,7 +36,7 @@ class MetricsSummary:
     traffic_per_subscriber: float = 0.0
     late_normalized_delays: List[float] = field(default_factory=list)
     #: Performance instrumentation snapshot (control-plane solve time,
-    #: tables reused vs re-solved, warm-start rounds, event counts; see
+    #: tables reused vs re-solved, Jacobi rounds, event counts; see
     #: :mod:`repro.perf`). Wall-clock values are non-deterministic, so the
     #: field is excluded from equality and from :meth:`as_dict` — the
     #: reproducibility tests compare both.
