@@ -1,15 +1,5 @@
-"""Post-hoc analysis tools: route stretch and control-plane convergence."""
+"""Post-hoc analysis tools: route stretch."""
 
-from repro.analysis.convergence import ConvergenceReport, convergence_report
 from repro.analysis.stretch import StretchReport, stretch_report
-from repro.analysis.trace import MessageTrace, MessageTracer, trace_messages
 
-__all__ = [
-    "ConvergenceReport",
-    "MessageTrace",
-    "MessageTracer",
-    "StretchReport",
-    "convergence_report",
-    "stretch_report",
-    "trace_messages",
-]
+__all__ = ["StretchReport", "stretch_report"]

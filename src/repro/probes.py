@@ -22,11 +22,11 @@ Observers
 ---------
 
 An observer is any object exposing per-family handlers — either by
-subclassing :class:`ProbeObserver` (handlers are discovered by their
-``on_<family>`` method names) or by overriding ``probe_handlers()`` to
-return an explicit ``{family: callable}`` mapping (what
-:class:`repro.sanity.Sanitizer` does to adapt its historical method
-signatures). The repository's built-in observers are:
+defining ``on_<family>`` methods that take the family's payload (what
+:class:`repro.sanity.Sanitizer` and :class:`repro.trace.FrameTracer` do)
+or by overriding ``probe_handlers()`` to return an explicit
+``{family: callable}`` mapping (what :class:`ProbeCounters` does). The
+repository's built-in observers are:
 
 * :class:`repro.sanity.Sanitizer` — live invariant checks;
 * :class:`repro.trace.FrameTracer` — per-frame lifecycle recording;
@@ -170,8 +170,8 @@ class ProbeObserver:
     """Base class for bus observers: handlers discovered by method name.
 
     The default :meth:`probe_handlers` maps every family for which the
-    instance defines an ``on_<family>`` method. Override it to adapt
-    mismatched signatures (the sanitizer does) or to register closures.
+    instance defines an ``on_<family>`` method. Override it to register
+    closures (:class:`ProbeCounters` does).
     """
 
     def probe_handlers(self) -> Dict[str, Callable[..., Any]]:

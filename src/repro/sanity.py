@@ -13,8 +13,8 @@ module watches them *live*, sanitizer-style:
   bus — one compiled slot per event family, ``None`` when no observer
   subscribes it — so disabled runs (the default) stay bit-identical to
   the fast path, and the fingerprint suite keeps passing unchanged.
-  :func:`install` registers the sanitizer as a bus observer (and keeps
-  the historical :data:`ACTIVE` slot in sync for callers that query it).
+  :func:`install` registers the sanitizer as a bus observer; its
+  ``on_<family>`` methods take the bus payloads directly.
 * When a :class:`Sanitizer` is installed (``ExperimentConfig.sanitize`` /
   CLI ``--sanitize``), every hook feeds a per-frame lifecycle ledger and a
   per-timer settlement table, and violations raise a structured
@@ -81,12 +81,6 @@ from repro import trace as _trace
 from repro.core.sending_list import theorem1_key
 from repro.util.errors import ReproError
 
-#: The installed sanitizer, or ``None`` (the default). Kept for
-#: compatibility and cross-observer queries (``InvariantViolation`` reads
-#: ``trace.ACTIVE`` the same way); the hook sites themselves read the
-#: compiled :mod:`repro.probes` slots instead.
-ACTIVE: Optional["Sanitizer"] = None
-
 # ---------------------------------------------------------------------------
 # Test-only mutation flags ("does the sanitizer have teeth?"). They are
 # consulted exclusively inside the sanitizer's registered handlers, so they
@@ -113,15 +107,21 @@ MUTATE_MISSORT_ORDER_RELEASE = False
 MUTATE_DROP_ORDER_RELEASE = False
 
 
+def _sanitized() -> bool:
+    """Whether a :class:`Sanitizer` is attached to the probe bus."""
+    return any(isinstance(o, Sanitizer) for o in _probes.observers())
+
+
 def missort_order_release_active() -> bool:
     """Whether the release-missort mutation applies (sanitized runs only)."""
-    return ACTIVE is not None and MUTATE_MISSORT_ORDER_RELEASE
+    # Flag first: an unmutated run never pays for the observer scan.
+    return MUTATE_MISSORT_ORDER_RELEASE and _sanitized()
 
 
 def consume_order_drop() -> bool:
     """Claim the one-shot release-drop mutation (sanitized runs only)."""
     global MUTATE_DROP_ORDER_RELEASE
-    if ACTIVE is None or not MUTATE_DROP_ORDER_RELEASE:
+    if not MUTATE_DROP_ORDER_RELEASE or not _sanitized():
         return False
     MUTATE_DROP_ORDER_RELEASE = False
     return True
@@ -172,13 +172,14 @@ class InvariantViolation(ReproError):
         self.kind = kind
         self.details = details or {}
         self.frames = frames
-        # When a FrameTracer is installed alongside the sanitizer, snapshot
+        # When a FrameTracer is attached alongside the sanitizer, snapshot
         # the offending frames' lifecycle excerpt at raise time (the tracer
         # ring buffer keeps rotating afterwards).
         self.trace_excerpt: Tuple[str, ...] = ()
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            self.trace_excerpt = tracer.excerpt(frames=frames)
+        for observer in _probes.observers():
+            if isinstance(observer, _trace.FrameTracer):
+                self.trace_excerpt = observer.excerpt(frames=frames)
+                break
         super().__init__(f"[{kind}] {message}")
 
     def report(self) -> str:
@@ -224,7 +225,7 @@ class _TransferRecord:
         return self.sent - self.delivered - self.lost - self.expired
 
 
-class Sanitizer:
+class Sanitizer(_probes.ProbeObserver):
     """Live invariant checker; attach to the probe bus via :func:`install`.
 
     All hooks are observation-only (no RNG draws, no scheduling), so an
@@ -287,76 +288,6 @@ class Sanitizer:
         self.pair_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def probe_handlers(self) -> Dict[str, Any]:
-        """The :mod:`repro.probes` families this sanitizer subscribes.
-
-        The sanitizer's public hook methods predate the bus and keep
-        their historical signatures; the explicit mapping (with a few
-        ``_probe_*`` adapters) bridges them to the unified payloads.
-        """
-        return {
-            "event_pop": self.on_event_pop,
-            "transmit": self._probe_transmit,
-            "arrive": self._probe_arrive,
-            "arrival_drop": self._probe_arrival_drop,
-            "expire": self._probe_expire,
-            "broker_accept": self.on_broker_accept,
-            "timer_started": self.on_timer_started,
-            "timer_cancelled": self._probe_timer_cancelled,
-            "timer_fired": self.on_timer_fired,
-            "table_solved": self.checked_table,
-            "custody": self._probe_custody,
-            "order_hold": self._probe_order_hold,
-            "order_release": self._probe_order_release,
-            "order_stall": self._probe_order_stall,
-        }
-
-    def _probe_transmit(
-        self,
-        t: float,
-        src: int,
-        dst: int,
-        frame: Any,
-        survived: bool,
-        cause: Optional[str],
-        prop: float,
-        queue: Optional[float],
-    ) -> None:
-        self.on_data_transmit(src, dst, frame, survived, cause)
-
-    def _probe_arrive(self, t: float, src: int, dst: int, frame: Any) -> None:
-        self.on_frame_delivered(frame)
-
-    def _probe_arrival_drop(
-        self, t: float, src: int, dst: int, frame: Any, cause: str
-    ) -> None:
-        self.on_frame_lost(frame, cause)
-
-    def _probe_expire(self, t: float, src: int, dst: int, frame: Any) -> None:
-        self.on_frame_expired(frame)
-
-    def _probe_timer_cancelled(self, token: int) -> Any:
-        # Veto family: returning False keeps the ARQ timer alive, which is
-        # exactly the leak MUTATE_SKIP_TIMER_CANCEL must inject (the timer
-        # stays _PENDING here too, so the orphan check fires at finish()).
-        if MUTATE_SKIP_TIMER_CANCEL:
-            return False
-        self.on_timer_cancelled(token)
-        return True
-
-    def _probe_custody(
-        self,
-        t: float,
-        node: int,
-        frame: Any,
-        subscriber: int,
-        action: str,
-        fresh_transfer: int = -1,
-    ) -> None:
-        if action == "stored":
-            self.on_pair_custody(frame.msg_id, subscriber)
-
-    # ------------------------------------------------------------------
     def _violate(
         self,
         kind: str,
@@ -384,8 +315,16 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Overlay links (overlay/links.py)
     # ------------------------------------------------------------------
-    def on_data_transmit(
-        self, src: int, dst: int, frame: Any, survived: bool, cause: Optional[str]
+    def on_transmit(
+        self,
+        t: float,
+        src: int,
+        dst: int,
+        frame: Any,
+        survived: bool,
+        cause: Optional[str],
+        prop: float,
+        queue: Optional[float],
     ) -> None:
         """A DATA frame was handed to the (src, dst) link direction."""
         transfer_id = getattr(frame, "transfer_id", None)
@@ -401,7 +340,7 @@ class Sanitizer:
             cause = cause or "unknown"
             self.losses_by_cause[cause] = self.losses_by_cause.get(cause, 0) + 1
 
-    def on_frame_delivered(self, frame: Any) -> None:
+    def on_arrive(self, t: float, src: int, dst: int, frame: Any) -> None:
         """A DATA frame reached its receiver's handler."""
         transfer_id = getattr(frame, "transfer_id", None)
         if transfer_id is None:
@@ -434,7 +373,9 @@ class Sanitizer:
                 expired=record.expired,
             )
 
-    def on_frame_lost(self, frame: Any, cause: str) -> None:
+    def on_arrival_drop(
+        self, t: float, src: int, dst: int, frame: Any, cause: str
+    ) -> None:
         """A DATA frame was dropped after transmission (arrival hazards)."""
         transfer_id = getattr(frame, "transfer_id", None)
         if transfer_id is None:
@@ -444,7 +385,7 @@ class Sanitizer:
             record.lost += 1
         self.losses_by_cause[cause] = self.losses_by_cause.get(cause, 0) + 1
 
-    def on_frame_expired(self, frame: Any) -> None:
+    def on_expire(self, t: float, src: int, dst: int, frame: Any) -> None:
         """The EDF overload policy discarded a queued DATA frame."""
         transfer_id = getattr(frame, "transfer_id", None)
         if transfer_id is None:
@@ -539,9 +480,18 @@ class Sanitizer:
         self.timers_started += 1
         self._timers[token] = [deadline, _PENDING, frame]
 
-    def on_timer_cancelled(self, token: int) -> None:
-        """The ACK arrived first; the timer was cancelled."""
+    def on_timer_cancelled(self, token: int) -> bool:
+        """The ACK arrived first; the timer was cancelled.
+
+        Veto family: returning ``False`` keeps the ARQ timer alive, which
+        is exactly the leak ``MUTATE_SKIP_TIMER_CANCEL`` must inject (the
+        timer stays pending here too, so the orphan check fires at
+        :meth:`finish`).
+        """
+        if MUTATE_SKIP_TIMER_CANCEL:
+            return False
         self._settle(token, _CANCELLED)
+        return True
 
     def on_timer_fired(self, token: int) -> None:
         """The timeout fired and was acted on (retransmit or fail)."""
@@ -570,7 +520,7 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # DCRD control plane (core/forwarding.py)
     # ------------------------------------------------------------------
-    def checked_table(self, table: Any) -> Any:
+    def on_table_solved(self, table: Any) -> Any:
         """Validate (and, under the test mutation, corrupt) a solved table.
 
         Called on every raw solver output before the strategy publishes
@@ -609,13 +559,13 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Ordering pipelines (ordering/pipeline.py)
     # ------------------------------------------------------------------
-    def _probe_order_hold(
+    def on_order_hold(
         self, t: float, node: int, frame: Any, level: str
     ) -> None:
         """A delivery pipeline buffered *frame* at *node*."""
         self._order_held[(node, frame.msg_id)] = frame
 
-    def _probe_order_release(
+    def on_order_release(
         self,
         t: float,
         node: int,
@@ -637,7 +587,7 @@ class Sanitizer:
         elif level == "total":
             self._check_order_total(node, frame, tag, reason)
 
-    def _probe_order_stall(
+    def on_order_stall(
         self, t: float, node: int, level: str, info: Any
     ) -> None:
         self.order_stalls += 1
@@ -772,9 +722,18 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Strategy custody (extensions/persistence.py)
     # ------------------------------------------------------------------
-    def on_pair_custody(self, msg_id: int, subscriber: int) -> None:
+    def on_custody(
+        self,
+        t: float,
+        node: int,
+        frame: Any,
+        subscriber: int,
+        action: str,
+        fresh_transfer: int = -1,
+    ) -> None:
         """A strategy persisted (msg, subscriber) instead of giving up."""
-        self._custody.add((msg_id, subscriber))
+        if action == "stored":
+            self._custody.add((frame.msg_id, subscriber))
 
     # ------------------------------------------------------------------
     # End-of-run checks
@@ -1121,19 +1080,16 @@ def _missort_table(table: Any) -> Any:
 def install(sanitizer: Optional["Sanitizer"]) -> None:
     """Attach *sanitizer* to the probe bus (``None`` detaches the current).
 
-    Also mirrors it into the legacy :data:`ACTIVE` slot so existing
-    callers (and the trace-excerpt plumbing) keep working. Installing the
-    already-installed sanitizer is a no-op; installing a different one
-    first detaches the previous.
+    Installing the already-attached sanitizer is a no-op; installing a
+    different one first detaches every other attached :class:`Sanitizer`.
     """
-    global ACTIVE
-    if ACTIVE is not None and ACTIVE is not sanitizer:
-        _probes.detach(ACTIVE)
-    ACTIVE = sanitizer
+    for observer in _probes.observers():
+        if isinstance(observer, Sanitizer) and observer is not sanitizer:
+            _probes.detach(observer)
     if sanitizer is not None:
         _probes.attach(sanitizer)
 
 
 def uninstall() -> None:
-    """Detach the installed sanitizer and clear :data:`ACTIVE`."""
+    """Detach every attached sanitizer."""
     install(None)

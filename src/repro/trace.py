@@ -9,9 +9,8 @@ subscriber) pair can be decomposed hop by hop.
 The design follows :mod:`repro.sanity` exactly:
 
 * The tracer is an observer of the :mod:`repro.probes` bus —
-  :func:`install` attaches it (and mirrors it into the legacy
-  :data:`ACTIVE` slot). Hook sites read the bus's compiled per-family
-  slots, ``None`` when nothing subscribes — one module-attribute load and
+  :func:`install` attaches it. Hook sites read the bus's compiled
+  per-family slots, ``None`` when nothing subscribes — one module-attribute load and
   one identity comparison per hook when off, so disabled runs stay
   bit-identical to the untraced fast path (the fingerprint suite pins
   this).
@@ -86,12 +85,6 @@ from typing import (
 
 from repro import probes as _probes
 from repro.util.errors import ReproError
-
-#: The installed tracer, or ``None`` (the default). Kept for
-#: compatibility and cross-observer queries (the sanitizer reads it to
-#: attach trace excerpts to violations); the hook sites themselves read
-#: the compiled :mod:`repro.probes` slots instead.
-ACTIVE: Optional["FrameTracer"] = None
 
 # Event kinds.
 PUBLISH = "publish"
@@ -336,7 +329,7 @@ def _exact_components(
 
 
 class FrameTracer:
-    """Structured per-frame lifecycle recorder; install via :data:`ACTIVE`.
+    """Structured per-frame lifecycle recorder; attach via :func:`install`.
 
     All hooks are observation-only (no RNG draws, no scheduling). Events
     live in a bounded ring buffer (``capacity``); parent lineage
@@ -1058,19 +1051,17 @@ def load_jsonl(source: Union[str, IO[str]]) -> FrameTracer:
 def install(tracer: Optional["FrameTracer"]) -> None:
     """Attach *tracer* to the probe bus (``None`` detaches the current).
 
-    Also mirrors it into the legacy :data:`ACTIVE` slot so existing
-    callers (and the sanitizer's excerpt plumbing) keep working.
-    Installing the already-installed tracer is a no-op; installing a
-    different one first detaches the previous.
+    Installing the already-attached tracer is a no-op; installing a
+    different one first detaches every other attached
+    :class:`FrameTracer`.
     """
-    global ACTIVE
-    if ACTIVE is not None and ACTIVE is not tracer:
-        _probes.detach(ACTIVE)
-    ACTIVE = tracer
+    for observer in _probes.observers():
+        if isinstance(observer, FrameTracer) and observer is not tracer:
+            _probes.detach(observer)
     if tracer is not None:
         _probes.attach(tracer)
 
 
 def uninstall() -> None:
-    """Detach the installed tracer and clear :data:`ACTIVE`."""
+    """Detach every attached tracer."""
     install(None)

@@ -1,18 +1,15 @@
-"""Tests for the message-journey tracer."""
+"""End-to-end message journeys read back from a FrameTracer."""
 
 import pytest
 
-from repro.analysis.trace import trace_messages
 from repro.core.forwarding import DcrdStrategy
 from tests.conftest import (
-    ScriptedFailures,
     attach_brokers,
     build_ctx,
+    data_hops,
     make_topology,
     single_topic_workload,
 )
-
-ALWAYS = (0.0, 1e9)
 
 
 def diamond():
@@ -21,9 +18,10 @@ def diamond():
     )
 
 
-def run_traced(topo, workload, failures=None):
-    ctx = build_ctx(topo, workload, failures=failures)
-    tracer = trace_messages(ctx.network)
+def test_clean_delivery_has_two_hops(frame_tracer):
+    topo = diamond()
+    workload = single_topic_workload(0, [(3, 1.0)])
+    ctx = build_ctx(topo, workload)
     strategy = DcrdStrategy(ctx)
     strategy.setup()
     attach_brokers(ctx, strategy)
@@ -31,58 +29,13 @@ def run_traced(topo, workload, failures=None):
     ctx.metrics.expect(1, 0, 0.0, {s.node: s.deadline for s in spec.subscriptions})
     strategy.publish(spec, msg_id=1)
     ctx.sim.run(until=10.0)
-    return ctx, tracer
 
-
-def test_clean_delivery_has_two_hops():
-    topo = diamond()
-    workload = single_topic_workload(0, [(3, 1.0)])
-    ctx, tracer = run_traced(topo, workload)
-    trace = tracer.trace(1)
-    assert trace.transmissions == 2
-    assert trace.losses == 0
-    assert [(h.src, h.dst) for h in trace.hops] == [(0, 1), (1, 3)]
-
-
-def test_failure_shows_lost_hops_and_detour():
-    topo = diamond()
-    failures = ScriptedFailures({(0, 1): [ALWAYS]})
-    workload = single_topic_workload(0, [(3, 1.0)])
-    ctx, tracer = run_traced(topo, workload, failures=failures)
-    trace = tracer.trace(1)
-    assert trace.losses == 1  # the attempt on the dead link
-    assert (0, 2) in [(h.src, h.dst) for h in trace.hops]
-
-
-def test_describe_mentions_delivery_status():
-    topo = diamond()
-    workload = single_topic_workload(0, [(3, 1.0)])
-    ctx, tracer = run_traced(topo, workload)
-    text = tracer.trace(1).describe(ctx.metrics)
-    assert "message 1" in text
-    assert "delivered to 3" in text
-    assert "on time" in text
-
-
-def test_untraced_message_is_empty():
-    topo = diamond()
-    workload = single_topic_workload(0, [(3, 1.0)])
-    ctx, tracer = run_traced(topo, workload)
-    assert tracer.trace(99).transmissions == 0
-
-
-def test_traced_messages_lists_ids():
-    topo = diamond()
-    workload = single_topic_workload(0, [(3, 1.0)])
-    ctx, tracer = run_traced(topo, workload)
-    assert tracer.traced_messages() == [1]
-
-
-def test_detach_restores_transmit():
-    topo = diamond()
-    workload = single_topic_workload(0, [(3, 1.0)])
-    ctx = build_ctx(topo, workload)
-    tracer = trace_messages(ctx.network)
-    original_wrapped = ctx.network.transmit
-    tracer.detach()
-    assert ctx.network.transmit != original_wrapped
+    assert data_hops(frame_tracer) == [(0, 1), (1, 3)]
+    journey = frame_tracer.journey(1, 3)
+    assert journey.complete
+    assert journey.chain == (0, 1, 3)
+    assert [(h.src, h.dst, h.attempts) for h in journey.hops] == [
+        (0, 1, 1),
+        (1, 3, 1),
+    ]
+    assert journey.total_delay == pytest.approx(0.020)

@@ -7,6 +7,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
+from repro import trace
 from repro.metrics.collector import MetricsCollector
 from repro.overlay.links import OverlayNetwork
 from repro.overlay.monitor import LinkMonitor
@@ -27,6 +28,20 @@ def _fresh_message_ids():
     reset_message_ids()
     yield
     reset_message_ids()
+
+
+@pytest.fixture
+def frame_tracer():
+    """A :class:`~repro.trace.FrameTracer` attached to the probe bus."""
+    tracer = trace.FrameTracer()
+    trace.install(tracer)
+    yield tracer
+    trace.uninstall()
+
+
+def data_hops(tracer) -> list:
+    """``(src, dst)`` of every DATA transmission *tracer* recorded."""
+    return [(e.node, e.peer) for e in tracer.events() if e.kind == trace.TRANSMIT]
 
 
 @pytest.fixture
@@ -122,7 +137,6 @@ def build_ctx(
         loss_rate=loss_rate,
         failures=failures,
         node_failures=node_failures,
-        trace=True,
     )
     monitor = LinkMonitor(topology, network, streams, mode=monitor_mode)
     if workload is None:

@@ -21,17 +21,18 @@ from repro.core.computation import (
     compute_dr_table,
     compute_dr_tables,
 )
+from repro.core.forwarding import DcrdStrategy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_environment
 from repro.extensions.churn import ChurnProcess
 from repro.overlay.links import OverlayNetwork
 from repro.overlay.monitor import LinkEstimate, LinkMonitor
-from repro.overlay.topology import Topology, random_regular
+from repro.overlay.topology import Topology, full_mesh, random_regular
 from repro.perf import PerfStats
-from repro.pubsub.topics import Subscription
+from repro.pubsub.topics import Subscription, generate_workload
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
-from tests.conftest import make_topology
+from tests.conftest import build_ctx, make_topology
 from tests.core.scalar_oracle import scalar_solve
 
 
@@ -465,3 +466,33 @@ def test_round_cap_rounds_are_logical():
         not t.converged for t in tables
     )
     assert perf.get("control_plane.cycles_jumped") > 0
+
+
+class TestConvergenceCounters:
+    """What the ``control_plane.*`` counters say about convergence."""
+
+    @staticmethod
+    def solve_counters(topology, rng):
+        workload = generate_workload(topology, rng, num_topics=4)
+        strategy = DcrdStrategy(build_ctx(topology, workload))
+        strategy.setup()
+        return strategy.perf
+
+    def test_full_mesh_converges(self, rng):
+        perf = self.solve_counters(full_mesh(10, rng), rng)
+        assert perf.get("control_plane.tables_solved_cold") > 0
+        assert perf.get("control_plane.tables_unconverged") == 0
+
+    def test_sparse_graphs_take_more_rounds(self, rng):
+        mesh = full_mesh(12, rng)
+        sparse = random_regular(12, 3, rng)
+        mesh_perf = self.solve_counters(mesh, rng)
+        sparse_perf = self.solve_counters(sparse, rng)
+
+        def rounds_per_table(perf):
+            return perf.get("control_plane.jacobi_rounds") / perf.get(
+                "control_plane.tables_solved_cold"
+            )
+
+        # Longer diameters need more propagation rounds.
+        assert rounds_per_table(sparse_perf) >= rounds_per_table(mesh_perf)

@@ -8,6 +8,7 @@ from tests.conftest import (
     ScriptedFailures,
     attach_brokers,
     build_ctx,
+    data_hops,
     make_topology,
     single_topic_workload,
 )
@@ -93,14 +94,11 @@ class TestDelivery:
         assert outcome.delay == pytest.approx(0.020)  # first copy decodes
         assert outcome.duplicates == 1
 
-    def test_traffic_is_n_fragment_paths(self):
-        from repro.overlay.links import FrameKind
-
+    def test_traffic_is_n_fragment_paths(self, frame_tracer):
         topo = triple_diamond()
         workload = single_topic_workload(0, [(4, 1.0)])
-        ctx, _ = run_once(topo, workload, k=2, r=1)
-        data = [t for t in ctx.network.transmissions if t.kind == FrameKind.DATA]
-        assert len(data) == 6  # three 2-hop fragments
+        run_once(topo, workload, k=2, r=1)
+        assert len(data_hops(frame_tracer)) == 6  # three 2-hop fragments
 
 
 class TestStudy:

@@ -112,5 +112,7 @@ def test_run_teardown_restores_noop_slots():
     assert probes.observers() == ()
     for family in probes.FAMILIES:
         assert getattr(probes, "on_" + family) is None
-    assert _sanity.ACTIVE is None
-    assert _trace.ACTIVE is None
+    assert not any(
+        isinstance(o, (_sanity.Sanitizer, _trace.FrameTracer))
+        for o in probes.observers()
+    )

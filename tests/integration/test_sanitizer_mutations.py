@@ -18,7 +18,7 @@ live inside sanitizer-guarded branches, so production runs cannot pay for
 
 import pytest
 
-from repro import sanity
+from repro import probes, sanity
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_environment, run_single
 from repro.sanity import InvariantViolation
@@ -62,7 +62,7 @@ def test_missort_does_not_leak_installed_sanitizer(missort_mutation):
     """An aborted build must uninstall its sanitizer (try/finally)."""
     with pytest.raises(InvariantViolation):
         build_environment(CONFIG, "DCRD", seed=3)
-    assert sanity.ACTIVE is None
+    assert not any(isinstance(o, sanity.Sanitizer) for o in probes.observers())
 
 
 def test_leaked_ack_timer_is_caught(skip_cancel_mutation):

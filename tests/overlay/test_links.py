@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro import trace
 from repro.overlay.failures import NodeFailureSchedule
 from repro.overlay.links import FrameKind, OverlayNetwork
 from repro.overlay.topology import full_mesh
+from repro.pubsub.messages import PacketFrame
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.util.errors import SimulationError
-from tests.conftest import ScriptedFailures, make_topology
+from tests.conftest import ScriptedFailures, data_hops, make_topology
 
 
 def make_network(topology, loss_rate=0.0, failures=None, node_failures=None, seed=1):
@@ -20,7 +22,6 @@ def make_network(topology, loss_rate=0.0, failures=None, node_failures=None, see
         loss_rate=loss_rate,
         failures=failures,
         node_failures=node_failures,
-        trace=True,
     )
     return sim, network
 
@@ -155,16 +156,21 @@ def test_stats_track_per_kind():
     assert network.stats.delivered[FrameKind.ACK] == 1
 
 
-def test_trace_records_transmissions():
+def test_trace_records_transmissions(frame_tracer):
     topo = make_topology([(0, 1, 0.01)])
     failures = ScriptedFailures({(0, 1): [(0.0, 1.0)]})
     sim, network = make_network(topo, failures=failures)
     network.attach(1, lambda s, f: None)
-    network.transmit(0, 1, "x", FrameKind.DATA)
+    frame = PacketFrame.fresh(
+        msg_id=1, topic=0, origin=0, publish_time=0.0,
+        destinations=frozenset({1}), routing_path=(0,),
+    )
+    network.transmit(0, 1, frame, FrameKind.DATA)
     sim.run()
-    assert len(network.transmissions) == 1
-    record = network.transmissions[0]
-    assert record.src == 0 and record.dst == 1 and not record.survived
+    assert data_hops(frame_tracer) == [(0, 1)]
+    (record,) = [e for e in frame_tracer.events() if e.kind == trace.TRANSMIT]
+    assert record.info["cause"] == "link_failure"
+    assert network.stats.lost_failure[FrameKind.DATA] == 1
 
 
 def test_link_up_reflects_failure_schedule():

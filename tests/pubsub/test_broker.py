@@ -56,12 +56,13 @@ def data_frame(ctx, destinations, path=(0,), msg_id=1, topic=0):
 
 def test_data_frame_is_acked_to_sender():
     ctx, strategy, brokers = make_setup()
+    acks_at_origin = []
+    ctx.network.attach_ack(0, lambda sender, ack: acks_at_origin.append(sender))
     frame = data_frame(ctx, {2})
     brokers[1].on_frame(0, frame)
     ctx.sim.run()
-    acks = [t for t in ctx.network.transmissions if t.kind == FrameKind.ACK]
-    assert len(acks) == 1
-    assert acks[0].src == 1 and acks[0].dst == 0
+    assert ctx.network.stats.sent[FrameKind.ACK] == 1
+    assert acks_at_origin == [1]
 
 
 def test_no_ack_when_strategy_does_not_use_acks():
@@ -69,7 +70,7 @@ def test_no_ack_when_strategy_does_not_use_acks():
     frame = data_frame(ctx, {2})
     brokers[1].on_frame(0, frame)
     ctx.sim.run()
-    assert not any(t.kind == FrameKind.ACK for t in ctx.network.transmissions)
+    assert ctx.network.stats.sent[FrameKind.ACK] == 0
 
 
 def test_forwarding_delegated_to_strategy():
@@ -88,8 +89,8 @@ def test_duplicate_copy_is_reacked_but_not_reprocessed():
     brokers[1].on_frame(0, frame)
     brokers[1].on_frame(0, frame)  # identical retransmission
     ctx.sim.run()
-    acks = [t for t in ctx.network.transmissions if t.kind == FrameKind.ACK]
-    assert len(acks) == 2  # both copies ACKed (the first ACK may have died)
+    # Both copies ACKed (the first ACK may have died).
+    assert ctx.network.stats.sent[FrameKind.ACK] == 2
     assert len(strategy.data_calls) == 1
     assert brokers[1].duplicates_suppressed == 1
 

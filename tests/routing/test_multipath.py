@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.overlay.links import FrameKind
 from repro.routing.multipath import MultipathStrategy
 from repro.routing.paths import shared_links
 from tests.conftest import (
     ScriptedFailures,
     attach_brokers,
     build_ctx,
+    data_hops,
     make_topology,
     single_topic_workload,
 )
@@ -97,9 +97,8 @@ class TestForwarding:
         assert outcome.gave_up
         assert strategy.abandoned == 2
 
-    def test_traffic_doubles_against_tree(self):
+    def test_traffic_doubles_against_tree(self, frame_tracer):
         topo = diamond()
         workload = single_topic_workload(0, [(3, 1.0)])
-        ctx, _ = run_once(topo, workload)
-        data = [t for t in ctx.network.transmissions if t.kind == FrameKind.DATA]
-        assert len(data) == 4  # two 2-hop copies
+        run_once(topo, workload)
+        assert len(data_hops(frame_tracer)) == 4  # two 2-hop copies

@@ -197,32 +197,27 @@ def test_probe_counters_counts_every_family():
     }
 
 
-#: The only modules allowed to touch the legacy ``ACTIVE`` compatibility
-#: slots: the bus itself and the two built-in observers it hosts.
-_OBSERVER_MODULES = {"probes.py", "sanity.py", "trace.py"}
-
-
 def test_no_active_hook_checks_outside_registered_observers():
-    """Grep-enforced: hook sites go through repro.probes slots only.
+    """Grep-enforced: no module under ``src/repro`` defines or reads an
+    ``ACTIVE`` name.
 
-    Before the bus, every instrumented module guarded its hook calls with
-    ``_sanity.ACTIVE``/``_trace.ACTIVE`` checks — two branches per site,
-    and a third once perf counters joined. Any ``<module>.ACTIVE``
-    reference outside the observer modules means a site regressed to the
-    old pattern (or a new site bypassed the bus).
+    Hook sites go through the repro.probes slots, and observers are found
+    through ``probes.observers()``. A module-level ``ACTIVE`` slot is a
+    second registry beside the bus; any ``ACTIVE`` reference means a site
+    or an observer lookup bypassed it.
     """
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
-    pattern = re.compile(r"\b\w+\.ACTIVE\b")
+    pattern = re.compile(r"\bACTIVE\b")
     offenders = [
         f"{path.relative_to(src)}:{lineno}: {line.strip()}"
         for path in sorted(src.rglob("*.py"))
-        if path.name not in _OBSERVER_MODULES
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
     assert not offenders, (
-        "legacy ACTIVE hook checks outside repro.probes observers "
-        "(instrument via a probes slot instead):\n" + "\n".join(offenders)
+        "ACTIVE slots beside the repro.probes registry "
+        "(find observers via probes.observers() instead):\n"
+        + "\n".join(offenders)
     )
 
 

@@ -10,9 +10,10 @@ behaviour (hooks wired into real runs) lives in
 
 import pytest
 
-from repro import sanity
+from repro import probes, sanity
 from repro.core.computation import DrTable, NodeState, ViaNeighbor
 from repro.sanity import InvariantViolation, Sanitizer
+from repro.trace import FrameTracer
 
 
 class Frame:
@@ -138,8 +139,16 @@ def test_fresh_broker_accept_is_clean():
 def test_timer_start_then_cancel_settles_once():
     s = Sanitizer()
     s.on_timer_started(11, deadline=2.0)
-    s.on_timer_cancelled(11)
+    assert s.on_timer_cancelled(11) is True  # no veto: the timer is cancelled
     assert (s.timers_started, s.timers_settled) == (1, 1)
+
+
+def test_skip_cancel_mutation_vetoes_and_leaves_the_timer_pending(monkeypatch):
+    monkeypatch.setattr(sanity, "MUTATE_SKIP_TIMER_CANCEL", True)
+    s = Sanitizer()
+    s.on_timer_started(11, deadline=2.0)
+    assert s.on_timer_cancelled(11) is False
+    assert violation(s.finish, Metrics(), now=5.0).kind == sanity.TIMER_ORPHAN
 
 
 def test_timer_settle_without_start_violates():
@@ -220,21 +229,21 @@ def test_missort_mutation_corrupts_a_checked_table(monkeypatch):
         ViaNeighbor(neighbor=1, d_via=0.1, r_via=0.9),
         ViaNeighbor(neighbor=2, d_via=0.2, r_via=0.9),
     ])
-    assert violation(s.checked_table, table).kind == sanity.SENDING_LIST_ORDER
+    assert violation(s.on_table_solved, table).kind == sanity.SENDING_LIST_ORDER
 
 
 # ---------------------------------------------------------------------------
 # Conservation
 # ---------------------------------------------------------------------------
 def _send(s, frame, survived=True, cause=None):
-    s.on_data_transmit(0, 1, frame, survived, cause)
+    s.on_transmit(0.0, 0, 1, frame, survived, cause, 0.01, 0.0)
 
 
 def test_conservation_partitions_every_pair():
     s = Sanitizer()
     carried = Frame(transfer_id=1, msg_id=10, destinations=frozenset({5, 6}))
     _send(s, carried)
-    s.on_frame_delivered(carried)
+    s.on_arrive(0.01, 0, 1, carried)
     lost = Frame(transfer_id=2, msg_id=11, destinations=frozenset({7}))
     _send(s, lost, survived=False, cause="random_loss")
     s.finish(
@@ -263,7 +272,7 @@ def test_pair_never_carried_is_leaked():
 
 def test_custody_pairs_are_not_leaked():
     s = Sanitizer()
-    s.on_pair_custody(10, 5)
+    s.on_custody(0.5, 2, Frame(msg_id=10), 5, "stored")
     s.finish(Metrics(Outcome(10, 5)), now=1.0)
     assert s.pair_counts["stranded_custody"] == 1
 
@@ -278,8 +287,23 @@ def test_in_flight_copy_explains_a_stranded_pair():
 
 def test_delivery_without_transmission_violates():
     s = Sanitizer()
-    error = violation(s.on_frame_delivered, Frame(transfer_id=3))
+    error = violation(s.on_arrive, 0.01, 0, 1, Frame(transfer_id=3))
     assert error.kind == sanity.CONSERVATION
+
+
+def test_violation_finds_a_plainly_attached_tracer():
+    """The excerpt comes from any FrameTracer on the bus, not only one
+    attached through ``trace.install``."""
+    tracer = FrameTracer()
+    probes.attach(tracer)
+    try:
+        frame = Frame(transfer_id=3)
+        probes.on_transmit(0.0, 0, 1, frame, True, None, 0.01, 0.0)
+        error = violation(Sanitizer().on_arrive, 0.01, 0, 1, frame)
+    finally:
+        probes.detach(tracer)
+    assert error.kind == sanity.CONSERVATION
+    assert error.trace_excerpt
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +338,11 @@ def test_install_uninstall_manage_the_active_slot():
     s = Sanitizer()
     sanity.install(s)
     try:
-        assert sanity.ACTIVE is s
+        assert s in probes.observers()
+        replacement = Sanitizer()
+        sanity.install(replacement)  # replaces the attached sanitizer
+        assert s not in probes.observers()
+        assert replacement in probes.observers()
     finally:
         sanity.uninstall()
-    assert sanity.ACTIVE is None
+    assert replacement not in probes.observers()

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro import trace
+from repro import probes, trace
 from repro.trace import (
     ARRIVE,
     DEFAULT_CAPACITY,
@@ -341,10 +341,10 @@ class TestInstall:
         tracer = FrameTracer()
         trace.install(tracer)
         try:
-            assert trace.ACTIVE is tracer
+            assert tracer in probes.observers()
         finally:
             trace.uninstall()
-        assert trace.ACTIVE is None
+        assert tracer not in probes.observers()
 
     def test_default_capacity_is_large(self):
         assert FrameTracer().capacity == DEFAULT_CAPACITY
