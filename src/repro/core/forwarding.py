@@ -105,11 +105,13 @@ class _DeliveryTask:
         """Assign each pending destination to a next hop and send copies.
 
         The next hop of a destination (lines 9–12) is the first node on its
-        sending list that is neither on the routing path (``path_set`` makes
-        that test O(1)) nor already failed, else the upstream broker. The
-        selection is inlined here with its loop invariants (path, failed
-        set, upstream fallback, table plumbing) hoisted out of the
-        per-subscriber iteration.
+        sending list that is neither on the routing path (a scan of the
+        short ``routing_path`` tuple) nor already failed, else the upstream
+        broker. The selection is inlined here with its loop invariants
+        (path, failed set, upstream fallback, table plumbing) hoisted out
+        of the per-subscriber iteration. A copy whose hop takes every one
+        of *subscribers* carries that frozenset on instead of a rebuilt
+        equal one.
 
         With ``record=True`` (initial dispatch only) the computed plan is
         returned for the strategy's flow cache: ``(abandons, groups)``
@@ -120,7 +122,7 @@ class _DeliveryTask:
         abandoned = [] if record else None
         pending = self.pending
         frame = self.frame
-        path = frame.path_set
+        path = frame.routing_path
         node = self.node
         failed = self.failed_neighbors
         upstream = self.upstream
@@ -166,8 +168,9 @@ class _DeliveryTask:
         frame = self.frame
         probe_bounce = _probes.on_bounce
         plan = [] if record else None
+        whole = len(subscribers)
         for hop, dests in groups.items():
-            destinations = frozenset(dests)
+            destinations = subscribers if len(dests) == whole else frozenset(dests)
             copy = frame.forwarded(node, destinations)
             hop_of_copy[copy.transfer_id] = hop
             is_bounce = hop == bounce

@@ -33,10 +33,10 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.core.forwarding import DcrdStrategy
-from repro.routing.arq import ArqSender
+from repro.routing.arq import ArqSender, MonitorTimeoutPolicy
 from repro.routing.base import RuntimeContext
 from repro.util.validation import require, require_positive
 
@@ -73,18 +73,18 @@ class AdaptiveTimeoutPolicy:
         self.var_factor = var_factor
         self.initial_rto = initial_rto
         self.ceiling = ceiling
-        self._state: Dict[Tuple[int, int], _RttState] = {}
+        # Keyed by the packed direction id (src << 21 | dst).
+        self._state: Dict[int, _RttState] = {}
         self.samples = 0
-
-    def _floor(self, src: int, dst: int) -> float:
-        """Never undercut the paper's static timer."""
-        link_alpha = self.ctx.monitor.estimate(src, dst).alpha
-        return self.ctx.params.ack_timeout(link_alpha)
+        # Never undercut the paper's static timer; the static policy
+        # memoises it per direction until the monitor publishes new
+        # estimates.
+        self._floor = MonitorTimeoutPolicy(ctx).timeout
 
     def timeout(self, src: int, dst: int) -> float:
         """Current RTO for the (src, dst) direction."""
         floor = self._floor(src, dst)
-        state = self._state.get((src, dst))
+        state = self._state.get((src << 21) | dst)
         if state is None:
             # Conservative bootstrap until the first unambiguous sample.
             return min(max(floor, self.initial_rto), self.ceiling)
@@ -95,9 +95,10 @@ class AdaptiveTimeoutPolicy:
     def on_sample(self, src: int, dst: int, rtt: float) -> None:
         """Fold one unambiguous RTT observation into the estimator."""
         self.samples += 1
-        state = self._state.get((src, dst))
+        key = (src << 21) | dst
+        state = self._state.get(key)
         if state is None:
-            self._state[(src, dst)] = _RttState(srtt=rtt, rttvar=rtt / 2.0)
+            self._state[key] = _RttState(srtt=rtt, rttvar=rtt / 2.0)
             return
         deviation = abs(state.srtt - rtt)
         state.rttvar = (1.0 - self.beta) * state.rttvar + self.beta * deviation

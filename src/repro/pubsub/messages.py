@@ -19,10 +19,10 @@ Frames are immutable; every hop builds new copies via
 hot path (one copy per hop per message, plus retransmissions), so both
 frame types are hand-written ``__slots__`` classes rather than frozen
 dataclasses: a plain ``__init__`` skips the frozen-dataclass
-``object.__setattr__`` indirection per field. Each frame also carries
-``path_set``, a :class:`frozenset` view of ``routing_path`` maintained by
-the constructors, so loop-avoidance membership tests (`candidate in
-path_set`) are O(1) instead of scanning the tuple.
+``object.__setattr__`` indirection per field. Loop-avoidance membership
+tests scan ``routing_path`` itself: paths are a handful of hops, so a
+tuple scan costs less than keeping a second, set-shaped copy of the path
+on every frame (frames queued behind a backlog would pin it).
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ class PacketFrame:
     routing_path:
         Ordered brokers that have *sent* this copy (each sender appends
         itself before transmitting — Algorithm 2, line 20).
-    path_set:
-        Frozenset view of ``routing_path`` for O(1) membership tests;
-        derived, never passed by callers.
     source_route:
         Remaining explicit hops, used by the source-routed baselines
         (Multipath, FEC); their paths are fixed at publish time. Empty for
@@ -138,7 +135,6 @@ class PacketFrame:
         "publish_time",
         "destinations",
         "routing_path",
-        "path_set",
         "source_route",
         "fragment_index",
         "fragments_needed",
@@ -161,7 +157,6 @@ class PacketFrame:
         fragments_needed: int = 0,
         size: float = 1.0,
         priority: float = _INF,
-        _path_set: Optional[FrozenSet[int]] = None,
         order_tag=None,
     ) -> None:
         self.msg_id = msg_id
@@ -171,7 +166,6 @@ class PacketFrame:
         self.publish_time = publish_time
         self.destinations = destinations
         self.routing_path = routing_path
-        self.path_set = frozenset(routing_path) if _path_set is None else _path_set
         self.source_route = source_route
         self.fragment_index = fragment_index
         self.fragments_needed = fragments_needed
@@ -227,8 +221,7 @@ class PacketFrame:
 
         ``priority`` overrides the inherited urgency (used when a copy's
         destination subset has a different earliest deadline than its
-        parent frame). ``path_set`` is extended incrementally rather than
-        rebuilt from the tuple. Slots are written directly (no ``__init__``
+        parent frame). Slots are written directly (no ``__init__``
         marshalling) — this runs once per forwarded copy.
         """
         copy = _new_frame(PacketFrame)
@@ -239,7 +232,6 @@ class PacketFrame:
         copy.publish_time = self.publish_time
         copy.destinations = destinations
         copy.routing_path = self.routing_path + (sender,)
-        copy.path_set = self.path_set.union((sender,))
         copy.source_route = source_route
         copy.fragment_index = self.fragment_index
         copy.fragments_needed = self.fragments_needed
@@ -266,7 +258,6 @@ class PacketFrame:
         copy.publish_time = self.publish_time
         copy.destinations = destinations
         copy.routing_path = self.routing_path
-        copy.path_set = self.path_set
         copy.source_route = self.source_route
         copy.fragment_index = self.fragment_index
         copy.fragments_needed = self.fragments_needed
@@ -277,7 +268,7 @@ class PacketFrame:
 
     def visited(self, node: int) -> bool:
         """Whether *node* already appears on the routing path."""
-        return node in self.path_set
+        return node in self.routing_path
 
     def upstream_of(self, node: int) -> int:
         """The broker *node* originally received this copy from.
@@ -288,8 +279,8 @@ class PacketFrame:
         when no upstream exists (*node* is the origin).
         """
         path = self.routing_path
-        if node not in self.path_set:
-            # Common case (the receiver is not on the path yet): O(1) probe
+        if node not in path:
+            # Common case (the receiver is not on the path yet): a scan
             # instead of a raised-and-caught ValueError from tuple.index.
             return path[-1] if path else -1
         index = path.index(node)

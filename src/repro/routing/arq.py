@@ -395,6 +395,12 @@ class ArqSender:
             probe(seq, time, entry.frame)
 
     def _on_timeout(self, entry: _Outstanding) -> None:
+        # The fired Event holds the entry in its args and the entry holds
+        # the Event: drop the back-reference first so no Event <->
+        # _Outstanding cycle outlives the fire (the event loop runs with
+        # the cyclic collector paused). A retransmit sets a fresh event.
+        event = entry.event
+        entry.event = None
         if entry.frame.transfer_id not in self._outstanding:
             return
         probe = _probes.on_timer_fired
@@ -402,7 +408,7 @@ class ArqSender:
             # After the outstanding check on purpose: a fire that finds its
             # transfer already settled must NOT count as the settlement
             # (that is exactly how a leaked cancel shows up as an orphan).
-            probe(entry.event.seq)
+            probe(event.seq)
         probe = _probes.on_ack_timeout
         if probe is not None:
             probe(

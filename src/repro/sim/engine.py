@@ -289,11 +289,13 @@ class Simulator:
         # even when a callback's cancel() triggers a compaction mid-loop.
         heap = self._heap
         heappop = heapq.heappop
-        # The event loop allocates heavily (frames, heap entries) but creates
-        # few cycles; pausing the cyclic collector avoids gen-0 scans every
-        # ~700 allocations. Refcounting still frees the bulk immediately, and
-        # re-enabling afterwards lets the collector reclaim any cycles on its
-        # own schedule, outside the hot loop.
+        # The event loop allocates heavily (frames, heap entries), so the
+        # cyclic collector is paused to avoid gen-0 scans every ~700
+        # allocations. That rests on an invariant: events create no
+        # reference cycles, so refcounting alone frees every settled frame,
+        # timer and task as the run goes (tests/integration/
+        # test_cycle_free.py pins it for every strategy). Anything caught
+        # in a cycle would stay allocated until the run ends.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

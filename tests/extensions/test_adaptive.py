@@ -1,8 +1,11 @@
 """Tests for the adaptive (Jacobson/Karn) timeout policy."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.extensions.adaptive import AdaptiveDcrdStrategy, AdaptiveTimeoutPolicy
+from repro.routing.base import ProtocolParams
 from repro.util.errors import ConfigurationError
 from tests.conftest import build_ctx, make_topology
 
@@ -50,6 +53,21 @@ class TestPolicyMath:
         assert policy.timeout(1, 0) == pytest.approx(
             min(max(0.021, policy.initial_rto), policy.ceiling)
         )
+
+    def test_floor_follows_a_monitor_refresh(self):
+        # The floor is memoised per direction; a refresh that publishes a
+        # new alpha (a version bump) must move it.
+        monitor = SimpleNamespace(
+            version=0, estimate=lambda src, dst: SimpleNamespace(alpha=0.010)
+        )
+        params = ProtocolParams()
+        policy = AdaptiveTimeoutPolicy(SimpleNamespace(monitor=monitor, params=params))
+        for _ in range(300):
+            policy.on_sample(0, 1, 0.001)
+        assert policy.timeout(0, 1) == params.ack_timeout(0.010)
+        monitor.estimate = lambda src, dst: SimpleNamespace(alpha=0.040)
+        monitor.version = 1
+        assert policy.timeout(0, 1) == params.ack_timeout(0.040)
 
     def test_invalid_parameters_rejected(self, ctx):
         with pytest.raises(ConfigurationError):

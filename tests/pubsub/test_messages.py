@@ -1,5 +1,7 @@
 """Unit tests for wire frames and id allocation."""
 
+from hypothesis import given, strategies as st
+
 from repro.pubsub.messages import (
     AckFrame,
     PacketFrame,
@@ -131,59 +133,55 @@ class TestPriorityAndSize:
         assert copy.fragments_needed == 2
 
 
-class TestPathSetSync:
-    """``path_set`` must stay a frozenset view of ``routing_path``.
+def scan_upstream(path, node):
+    """§III-D's upstream rule as a plain left-to-right scan of the path."""
+    for index, hop in enumerate(path):
+        if hop == node:
+            return path[index - 1] if index > 0 else -1
+    return path[-1] if path else -1
 
-    The copy fast paths write slots directly and extend ``path_set``
-    incrementally, so these pin the derived-field invariant through every
-    constructor.
+
+class TestRoutingPath:
+    """Loop-avoidance queries read ``routing_path`` and nothing else.
+
+    Hops are drawn from a few broker ids, so chains revisit brokers the
+    way bounced copies do (a bounce sends a copy back to a broker already
+    on its path).
     """
 
-    def test_fresh_derives_path_set(self):
-        frame = make_frame(routing_path=(0, 5, 2))
-        assert frame.path_set == frozenset(frame.routing_path)
-        assert isinstance(frame.path_set, frozenset)
-
-    def test_forwarded_keeps_path_set_in_sync(self):
-        frame = make_frame(routing_path=(0,))
-        copy = frame.forwarded(5, frame.destinations)
-        assert copy.routing_path == (0, 5)
-        assert copy.path_set == frozenset(copy.routing_path)
-        assert isinstance(copy.path_set, frozenset)
-
-    def test_forwarded_chain_keeps_path_set_in_sync(self):
-        frame = make_frame()
-        for hop in (0, 7, 3, 7):  # a repeated sender must not diverge
+    @given(
+        start=st.lists(st.integers(0, 5), max_size=4),
+        hops=st.lists(st.integers(0, 5), max_size=8),
+    )
+    def test_visited_and_upstream_match_a_tuple_scan(self, start, hops):
+        frame = make_frame(routing_path=tuple(start))
+        for hop in hops:
             frame = frame.forwarded(hop, frame.destinations)
-        assert frame.routing_path == (0, 7, 3, 7)
-        assert frame.path_set == frozenset({0, 7, 3})
+        path = tuple(start) + tuple(hops)
+        assert frame.routing_path == path
+        for node in range(7):
+            assert frame.visited(node) == any(hop == node for hop in path)
+            assert frame.upstream_of(node) == scan_upstream(path, node)
+
+    def test_bounced_path_upstream_is_first_appearance(self):
+        frame = make_frame(routing_path=(0, 7, 3, 7))
+        assert frame.upstream_of(7) == 0
+        assert frame.upstream_of(3) == 7
+        assert frame.upstream_of(0) == -1
+        assert frame.upstream_of(9) == 7
 
     def test_forwarded_does_not_mutate_parent(self):
         frame = make_frame(routing_path=(0,))
-        frame.forwarded(5, frame.destinations)
+        copy = frame.forwarded(5, frame.destinations)
+        assert copy.routing_path == (0, 5)
         assert frame.routing_path == (0,)
-        assert frame.path_set == frozenset({0})
+        assert not frame.visited(5)
 
-    def test_with_destinations_preserves_path_set(self):
+    def test_with_destinations_preserves_routing_path(self):
         frame = make_frame(routing_path=(0, 5))
         copy = frame.with_destinations(frozenset({4}))
         assert copy.routing_path == frame.routing_path
-        assert copy.path_set == frame.path_set
         assert copy.transfer_id == frame.transfer_id
-
-    def test_explicit_path_set_override_used_verbatim(self):
-        explicit = frozenset({0, 5})
-        frame = PacketFrame(
-            msg_id=1,
-            transfer_id=9,
-            topic=0,
-            origin=0,
-            publish_time=0.0,
-            destinations=frozenset({4}),
-            routing_path=(0, 5),
-            _path_set=explicit,
-        )
-        assert frame.path_set is explicit
 
 
 class TestAckFrame:

@@ -1,10 +1,15 @@
 """Unit tests for the hop-by-hop ARQ layer."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.overlay.links import FrameKind
 from repro.pubsub.messages import AckFrame, PacketFrame
+from repro.routing import arq as arq_module
 from repro.routing.arq import ArqSender
+from repro.sim.engine import Event
 from tests.conftest import ScriptedFailures, build_ctx, make_topology
 
 
@@ -143,3 +148,29 @@ def test_timeout_scales_with_link_alpha():
     arq.send(0, 1, make_frame(), lambda f: None, lambda f: failed_at.append(ctx.sim.now))
     ctx.sim.run()
     assert failed_at[0] == pytest.approx(0.021, abs=1e-6)
+
+
+def test_fired_timeout_event_is_freed_without_the_cycle_collector(monkeypatch):
+    # The event loop runs with the cyclic collector paused, so a fired
+    # timeout must not stay alive through an Event <-> entry cycle.
+    refs = []
+
+    class TrackedEvent(Event):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(arq_module, "Event", TrackedEvent)
+    failures = ScriptedFailures({(0, 1): [(0.0, 100.0)]})
+    ctx, arq = make_arq(failures=failures, m=2)
+    outcomes = []
+    arq.send(0, 1, make_frame(), lambda f: None, outcomes.append)
+    gc.disable()
+    try:
+        ctx.sim.run()
+        assert len(outcomes) == 1 and len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -25,7 +25,6 @@ class Frame:
         self.msg_id = msg_id
         self.destinations = destinations
         self.routing_path = tuple(routing_path)
-        self.path_set = frozenset(routing_path)
         self.topic = topic
         self.origin = origin
 
@@ -74,7 +73,7 @@ def test_event_pop_back_in_time_violates():
 
 
 # ---------------------------------------------------------------------------
-# Broker accept: dedup, path sync, loop freedom
+# Broker accept: dedup, path tail, loop freedom
 # ---------------------------------------------------------------------------
 def test_duplicate_post_dedup_accept_violates():
     s = Sanitizer()
@@ -84,13 +83,6 @@ def test_duplicate_post_dedup_accept_violates():
     )
     assert error.kind == sanity.DUPLICATE_DELIVERY
     assert error.details["transfer_id"] == 7
-
-
-def test_path_set_desync_violates():
-    s = Sanitizer()
-    frame = Frame(routing_path=(1, 2))
-    frame.path_set = frozenset({1})  # drifted
-    assert violation(s.on_broker_accept, 3, 2, frame).kind == sanity.PATH_DESYNC
 
 
 def test_path_tail_must_match_sender():
